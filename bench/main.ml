@@ -460,12 +460,17 @@ let serving () =
             if r.E.compile_ms > 100.0 then incr stalls;
             r.E.latency_us +. (r.E.compile_ms *. 1000.0)
           in
-          let o = Q.simulate ~arrivals ~policy ~batch_dim ~service in
+          let o =
+            Q.simulate_server ~arrivals ~policy:(Q.default_server_policy ~batching:policy)
+              ~batch_dim
+              ~service:(fun env -> (service env, `Compiled))
+              ()
+          in
           Printf.printf "%-11s %-11s %9.1f %9.1f %9.1f %11.1f %7d\n" mname name
-            (Q.percentile o.Q.latencies_us 0.5 /. 1000.0)
-            (Q.percentile o.Q.latencies_us 0.95 /. 1000.0)
-            (Q.percentile o.Q.latencies_us 0.99 /. 1000.0)
-            o.Q.mean_batch !stalls)
+            (Q.percentile o.Q.request_latencies_us 0.5 /. 1000.0)
+            (Q.percentile o.Q.request_latencies_us 0.95 /. 1000.0)
+            (Q.percentile o.Q.request_latencies_us 0.99 /. 1000.0)
+            o.Q.server_mean_batch !stalls)
         [ "bladedisc"; "onnxrt"; "xla"; "pytorch" ];
       print_newline ())
     [
@@ -796,8 +801,8 @@ let adaptive_serving ?json () =
   let configs =
     [
       ("static-pow2", None);
-      ("adaptive", Some { Pool.default_adaptive with Pool.autoscale = None });
-      ("adaptive+scale", Some { Pool.default_adaptive with Pool.autoscale = Some autoscale });
+      ("adaptive", Some Pool.default_adaptive);
+      ("adaptive+scale", Some { Pool.autoscale = Some autoscale });
     ]
   in
   Printf.printf "%-14s %8s %6s %6s %6s %7s %8s %9s %7s %7s %5s\n" "config" "served" "cold"
@@ -966,7 +971,7 @@ let chaos_serving ?json () =
   let configs =
     [
       ("no-resilience", Pool.no_resilience);
-      ("redispatch", { Pool.no_resilience with Pool.redispatch = true; Pool.max_redispatch = 2 });
+      ("redispatch", { Pool.no_resilience with Pool.redispatch = true });
       ("no-brownout", { Pool.default_resilience with Pool.brownout = false });
       ("resilient", Pool.default_resilience);
     ]

@@ -619,11 +619,7 @@ let serve_cmd =
     let adaptive_cfg =
       if not adaptive then None
       else
-        Some
-          {
-            Serving.Pool.default_adaptive with
-            Serving.Pool.autoscale = Some Serving.Autoscaler.default_config;
-          }
+        Some { Serving.Pool.autoscale = Some Serving.Autoscaler.default_config }
     in
     let chaos =
       Option.map

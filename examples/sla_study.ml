@@ -41,14 +41,19 @@ let () =
             (* a compile stall blocks the serving thread *)
             r.E.latency_us +. (r.E.compile_ms *. 1000.0)
           in
-          let o = Q.simulate ~arrivals ~policy ~batch_dim:"batch" ~service in
+          let o =
+            Q.simulate_server ~arrivals ~policy:(Q.default_server_policy ~batching:policy)
+              ~batch_dim:"batch"
+              ~service:(fun env -> (service env, `Compiled))
+              ()
+          in
           Printf.printf "%-9s %-11s %9.1f %9.1f %9.1f %11.1f %12d\n"
             (Printf.sprintf "%.0f qps" qps)
             name
-            (Q.percentile o.Q.latencies_us 0.5 /. 1000.0)
-            (Q.percentile o.Q.latencies_us 0.95 /. 1000.0)
-            (Q.percentile o.Q.latencies_us 0.99 /. 1000.0)
-            o.Q.mean_batch !stalls)
+            (Q.percentile o.Q.request_latencies_us 0.5 /. 1000.0)
+            (Q.percentile o.Q.request_latencies_us 0.95 /. 1000.0)
+            (Q.percentile o.Q.request_latencies_us 0.99 /. 1000.0)
+            o.Q.server_mean_batch !stalls)
         [ "bladedisc"; "onnxrt"; "xla"; "pytorch" ];
       print_newline ())
     [ 50.0; 200.0 ];

@@ -33,14 +33,11 @@ type stats = {
       (** persisted records quarantined at {!attach_dir} + entries
           destroyed by chaos {!corrupt} *)
   entries : int;
-  reductions : int;  (** memory-reduction decisions attached (side table) *)
   schedules : int;  (** tuned schedule plans attached (side table) *)
 }
 
-val default_capacity : int
-
 val create : ?capacity:int -> unit -> t
-(** [capacity] (default {!default_capacity}) bounds in-memory entries;
+(** [capacity] (default 64) bounds in-memory entries;
     least-recently-used entries are evicted beyond it. *)
 
 val capacity : t -> int
@@ -59,7 +56,7 @@ val hit_rate : stats -> float
 
 val health_to_string : stats -> string
 (** The one cache-health line serving surfaces print: core stats plus
-    side-table entry counts (reductions, schedules), the hit rate, and
+    side-table entry count (schedules), the hit rate, and
     a verdict — [healthy], or [UNHEALTHY (n corrupt artifacts
     quarantined)] when any record was quarantined or destroyed. *)
 
@@ -99,19 +96,6 @@ val attach_dir : t -> string -> unit
 
 val warm_keys : t -> int
 (** Number of warm (persisted, not yet re-materialized) keys known. *)
-
-val store_reduction : t -> key:string -> rung:string -> Mem.Reduce.decision -> unit
-(** Attach a memory-reduction decision ({!Mem.Reduce.decide}) to a
-    compiled artifact, keyed by (cache key, shape-bucket rung
-    signature). A decision is a pure function of (executable,
-    rung-ceiling binding), so one decide per fingerprint × rung is
-    replayed by every session sharing the artifact. Dropped together
-    with the artifact by {!invalidate} and chaos {!corrupt}. *)
-
-val find_reduction : t -> key:string -> rung:string -> Mem.Reduce.decision option
-
-val reductions_cached : t -> int
-(** Number of reduction decisions currently attached. *)
 
 val store_schedule : t -> key:string -> bucket:string -> Tune.Plan.t -> unit
 (** Attach a tuned schedule plan ({!Tune.Search.plan}) to a compiled

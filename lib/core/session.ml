@@ -123,10 +123,8 @@ type stats = {
   window : int; (* latencies retained for the percentile window *)
 }
 
-let default_window = 1024
-
 let create ?(options = Compiler.default_options) ?(device = Gpusim.Device.a10)
-    ?(policy = default_policy) ?fault_config ?(window = default_window) ?metrics ?cache
+    ?(policy = default_policy) ?fault_config ?(window = 1024) ?metrics ?cache
     ?(async_compile = false) (built : Common.built) : t =
   let compiled, serve_dims, cache_hit, cache_ref =
     match cache with
@@ -181,7 +179,6 @@ let create ?(options = Compiler.default_options) ?(device = Gpusim.Device.a10)
 let metrics t = t.metrics
 let cache_hit (t : t) = t.cache_hit
 let device (t : t) = t.device
-let model_name (t : t) = t.built.Common.name
 let in_warmup t = t.warmup_remaining_us > 0.0
 let warmup_remaining_us t = t.warmup_remaining_us
 
@@ -504,10 +501,7 @@ let serve_result ?deadline_us (t : t) (env : (string * int) list) :
 (* --- symbolic memory estimation -------------------------------------------
 
    The estimate is binding-free (one per compiled artifact); evaluating
-   it at a request env is the serving fleet's pre-dispatch HBM check.
-   Reduction decisions are decided once per (artifact, bucket rung) and
-   cached in the shared Compile_cache so sharing sessions replay rather
-   than re-derive them. *)
+   it at a request env is the serving fleet's pre-dispatch HBM check. *)
 
 let mem_estimate t =
   match t.mem_est with
@@ -543,32 +537,14 @@ let rung_signature (env : (string * int) list) =
   String.concat ","
     (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (List.sort compare env))
 
-let mem_reduction t (env : (string * int) list) =
-  let compute () =
-    let est = mem_estimate t in
-    match binding_for_env t env with
-    | Some bnd -> Mem.Reduce.decide ~env est bnd
-    | None -> Mem.Reduce.identity ~env est (Table.empty_binding ())
-  in
-  match t.cache with
-  | Some (cache, key) -> (
-      let rung = rung_signature env in
-      match Compile_cache.find_reduction cache ~key ~rung with
-      | Some d -> d
-      | None ->
-          let d = compute () in
-          Compile_cache.store_reduction cache ~key ~rung d;
-          d)
-  | None -> compute ()
-
 (* --- hardware-aware schedule tuning ----------------------------------------
 
    The tuner is sample-free: [Tune.Search] ranks the device-pruned
    schedule space with the analytical cost model at the given bucket
    rungs, so a plan is a pure function of (artifact, device, rung set).
-   Plans ride the shared Compile_cache in a side table (like reduction
-   decisions) keyed fingerprint × device × bucket, so one search warms
-   every session sharing the artifact — and pool replicas adopt on
+   Plans ride the shared Compile_cache in a side table keyed
+   fingerprint × device × bucket, so one search warms every session
+   sharing the artifact — and pool replicas adopt on
    prewarm/revive via [adopt_tuned_schedules]. Adoption rewrites a
    *copy* of the executable into [active]; the cached artifact is never
    mutated, and a session can always be re-tuned for another rung set. *)

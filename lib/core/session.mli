@@ -45,9 +45,6 @@ type stats = {
   window : int;  (** latencies retained for the percentile window *)
 }
 
-val default_window : int
-(** Capacity of the latency ring buffer (1024). *)
-
 val create :
   ?options:Compiler.options ->
   ?device:Gpusim.Device.t ->
@@ -61,6 +58,7 @@ val create :
   t
 (** Compiles immediately; every later request reuses the artifact.
     [fault_config] arms deterministic fault injection for this session.
+    [window] (default 1024) bounds the latency ring the percentiles read.
     [metrics] is the registry the session's outcome counters and latency
     histogram live in (default: a fresh private registry). The registry
     is the single source of truth: {!stats} is a view over it.
@@ -86,9 +84,6 @@ val cache_hit : t -> bool
 
 val device : t -> Gpusim.Device.t
 (** The simulated device this session serves on. *)
-
-val model_name : t -> string
-(** Name of the built model this session was created from. *)
 
 val in_warmup : t -> bool
 (** Still inside the async-compile window (next request falls back). *)
@@ -149,22 +144,12 @@ val serve : t -> (string * int) list -> Runtime.Profile.t
 val serve_data : t -> Tensor.Nd.t list -> Tensor.Nd.t list * Runtime.Profile.t
 (** Legacy wrapper over {!serve_data_result}; same raising behaviour. *)
 
-val mem_estimate : t -> Mem.Estimate.t
-(** The symbolic peak-memory estimate of this session's compiled
-    executable ({!Mem.Estimate}), built lazily once per session. *)
-
 val mem_peak_bytes : t -> (string * int) list -> int option
 (** Evaluated {!Mem.Estimate.peak_bound} (arena + resident) at a request
     env — the number the serving budget gate compares against a
     replica's HBM budget {e before} dispatching. Memoized per env; a
     pure function of the env. [None] when the env doesn't bind (unknown
     dim, inconsistent shape). *)
-
-val mem_reduction : t -> (string * int) list -> Mem.Reduce.decision
-(** The memory-reduction decision ({!Mem.Reduce.decide}) at a
-    bucket-rung-ceiling env. With a shared {!Compile_cache} attached the
-    decision is decided once per (artifact, rung) and replayed by every
-    sharing session. *)
 
 val tune :
   t -> envs:(string * int) list list -> Tune.Plan.t * [ `Tuned | `Cached ]

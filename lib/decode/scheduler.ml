@@ -45,10 +45,10 @@ type config = {
   batch_scheme : Bucket.scheme;
   prompt_scheme : Bucket.scheme; (* prefill seq dim *)
   cache_scheme : Bucket.scheme; (* decode KV-cache dim *)
-  decode_slo : Slo.decode_policy;
-  cold_warmup_us : float; (* first dispatch of a signature on a worker *)
-  options : Disc.Compiler.options option;
 }
+
+(* First dispatch of a signature on a worker pays this once. *)
+let cold_warmup_us = 1500.0
 
 let default_config ~devices =
   {
@@ -60,9 +60,6 @@ let default_config ~devices =
     batch_scheme = Bucket.Pow2;
     prompt_scheme = Bucket.Pow2;
     cache_scheme = Bucket.Linear 64;
-    decode_slo = Slo.default_decode_policy;
-    cold_warmup_us = 1500.0;
-    options = None;
   }
 
 type request = { arrival_us : float; prompt : int; max_new : int; cls : Slo.cls }
@@ -230,7 +227,7 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
              i (r.prompt + r.max_new) cache_ub))
     reqs;
   let mk_session ?device built_fn =
-    Session.create ?options:cfg.options ?device ~cache (built_fn ())
+    Session.create ?device ~cache (built_fn ())
   in
   (* Pre-declare the cache-length bucket ladder on decode sessions when
      the dim carries the monotone-growth fact: every signature rung the
@@ -337,7 +334,7 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
         let key = Bucket.env_key env in
         let cold = not (Replica.is_warm w.rep key) in
         let base_us = Profile.total_us profile in
-        let service_us = base_us +. (if cold then cfg.cold_warmup_us else 0.0) in
+        let service_us = base_us +. (if cold then cold_warmup_us else 0.0) in
         let done_at = !now +. service_us in
         w.rep.Replica.free_at <- done_at;
         Replica.note_batch w.rep ~key ~elements:(Bucket.elements env) ~service_us
@@ -523,13 +520,13 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
     List.length
       (List.filter
          (fun (s : Sequence.t) ->
-           s.ttft_us <= (Slo.decode_target_of cfg.decode_slo s.cls).Slo.ttft_us)
+           s.ttft_us <= (Slo.decode_target_of Slo.default_decode_policy s.cls).Slo.ttft_us)
          finished)
   in
   let tpot_ok =
     List.fold_left
       (fun acc (s : Sequence.t) ->
-        let budget = (Slo.decode_target_of cfg.decode_slo s.cls).Slo.tpot_us in
+        let budget = (Slo.decode_target_of Slo.default_decode_policy s.cls).Slo.tpot_us in
         acc + List.length (List.filter (fun g -> g <= budget) s.gaps_us))
       0 finished
   in

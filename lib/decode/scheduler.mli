@@ -31,16 +31,15 @@ type config = {
   batch_scheme : Serving.Bucket.scheme;
   prompt_scheme : Serving.Bucket.scheme;  (** prefill [seq] dim *)
   cache_scheme : Serving.Bucket.scheme;  (** decode KV-cache dim *)
-  decode_slo : Serving.Slo.decode_policy;
-  cold_warmup_us : float;
-      (** first dispatch of a signature on a worker pays this once *)
-  options : Disc.Compiler.options option;
 }
+(** Sessions compile with {!Disc.Compiler.default_options}, sequences
+    are judged against {!Serving.Slo.default_decode_policy}, and the
+    first dispatch of a signature on a worker pays a one-off 1.5 ms
+    warmup. *)
 
 val default_config : devices:Gpusim.Device.t list -> config
 (** Continuous, 1 prefill worker, prefill batch 4 / decode batch 16,
-    Pow2 batch+prompt buckets, Linear-64 cache buckets, default decode
-    SLOs, 1.5 ms cold warmup. *)
+    Pow2 batch+prompt buckets, Linear-64 cache buckets. *)
 
 type request = {
   arrival_us : float;

@@ -178,13 +178,3 @@ let to_string = function
   | [] -> "audit: ok"
   | vs ->
       String.concat "\n" (List.map (fun v -> "audit violation: " ^ v) vs)
-
-exception Violations of violation list
-
-let check_exn r =
-  match check r with [] -> () | vs -> raise (Violations vs)
-
-let () =
-  Printexc.register_printer (function
-    | Violations vs -> Some (to_string vs)
-    | _ -> None)

@@ -32,8 +32,3 @@ val check : Pool.report -> violation list
 
 val to_string : violation list -> string
 (** ["audit: ok"] for the empty list, else one line per violation. *)
-
-exception Violations of violation list
-
-val check_exn : Pool.report -> unit
-(** @raise Violations if any invariant is broken. *)

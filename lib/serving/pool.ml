@@ -18,11 +18,9 @@ type config = {
   devices : Gpusim.Device.t list;
   batch_dim : string;
   max_batch : int;
-  max_wait_us : float;
   bucket : Bucket.spec;
   slo : Slo.policy;
   router : Router.policy;
-  max_pad_waste : float;
   cold_warmup_us : float;
   hbm_budget : int option;
       (* per-replica device-memory budget in bytes; None = unbudgeted *)
@@ -32,16 +30,22 @@ type config = {
          any batch whose estimated peak overruns the budget (OOM). *)
 }
 
+(* Batching: a bucket launches once its oldest request has waited this
+   long, even if the batch is not full. *)
+let max_wait_us = 2000.0
+
+(* Pad-vs-exact: above this padding fraction a batch dispatches at its
+   exact shape, whatever the cost model says. *)
+let max_pad_waste = 0.5
+
 let default_config ~devices ~batch_dim ~bucket =
   {
     devices;
     batch_dim;
     max_batch = 8;
-    max_wait_us = 2000.0;
     bucket;
     slo = Slo.default_policy;
     router = Router.Warmth_aware;
-    max_pad_waste = 0.5;
     cold_warmup_us = 1500.0;
     hbm_budget = None;
     mem_aware = true;
@@ -73,91 +77,41 @@ let with_class_mix ~seed (mix : (Slo.cls * float) list) reqs =
    sessions, cross-pollinates hot-signature warmth (the artifacts are in
    the shared cache — only the first replica paid the cold dispatch),
    and lets the autoscaler add or drain replicas. *)
-type adaptive = {
-  control_interval_us : float;
-  rebucket : bool; (* re-derive Bucket.Edges from observed traffic *)
-  max_edges : int; (* quantile-placed boundaries per dim *)
-  edge_quantum : int; (* snap derived boundaries up to a multiple *)
-  decay : float; (* per-tick multiplicative decay of shape stats *)
-  hint_k : int; (* likely values per dim / hot signatures to pre-warm *)
-  autoscale : Autoscaler.config option;
-  prewarm_us : float; (* spin-up delay before a minted replica takes traffic *)
-}
+type adaptive = { autoscale : Autoscaler.config option }
 
-let default_adaptive =
-  {
-    control_interval_us = 20_000.0;
-    rebucket = true;
-    max_edges = 4;
-    edge_quantum = 4;
-    decay = 0.9;
-    hint_k = 4;
-    autoscale = None;
-    prewarm_us = 5_000.0;
-  }
+let default_adaptive = { autoscale = None }
+let control_interval_us = 20_000.0
+let max_edges = 4 (* quantile-placed bucket boundaries per dim *)
+let edge_quantum = 4 (* derived boundaries snap up to a multiple of this *)
+let decay = 0.9 (* per-tick multiplicative decay of the shape stats *)
+let hint_k = 4 (* likely values per dim, and hot signatures pre-warmed, per tick *)
+let prewarm_us = 5_000.0 (* spin-up delay before a minted replica takes traffic *)
 
-(* Resilience knobs: what the pool does *about* failure, as opposed to
+(* Resilience: what the pool does *about* failure, as opposed to
    [~failures]/[~chaos] which inject it. [no_resilience] is the ablation
-   baseline the chaos bench compares against. *)
+   baseline the chaos bench compares against. The mechanisms'
+   thresholds are the constants that follow, each read only while its
+   mechanism is on. *)
 type resilience = {
   redispatch : bool; (* re-queue a crashed replica's in-flight requests *)
-  max_redispatch : int; (* per-request retry budget across crashes *)
   hedge : bool; (* duplicate slow Interactive batches, first result wins *)
-  hedge_after_us : float; (* age before a Degraded-hosted batch is hedged *)
   watchdog : bool; (* EWMA straggler detection -> Degraded/Healthy *)
-  watchdog_factor : float; (* rate above this multiple of pool rate degrades *)
-  watchdog_recover : float; (* rate back under this multiple restores *)
-  watchdog_min_batches : int; (* measurements before the watchdog may judge *)
   brownout : bool; (* stepwise degradation ladder under overload *)
-  brownout_up_backlog : float; (* queued-per-replica that arms a step up *)
-  brownout_down_backlog : float; (* queued-per-replica that arms a step down *)
-  brownout_up_hold_us : float; (* sustained overload before stepping up *)
-  brownout_down_hold_us : float; (* sustained calm before stepping down *)
 }
 
-let default_resilience =
-  {
-    redispatch = true;
-    max_redispatch = 2;
-    hedge = true;
-    hedge_after_us = 10_000.0;
-    watchdog = true;
-    watchdog_factor = 2.5;
-    watchdog_recover = 1.3;
-    watchdog_min_batches = 3;
-    brownout = true;
-    brownout_up_backlog = 12.0;
-    brownout_down_backlog = 4.0;
-    brownout_up_hold_us = 15_000.0;
-    brownout_down_hold_us = 20_000.0;
-  }
-
-let no_resilience =
-  {
-    redispatch = false;
-    max_redispatch = 0;
-    hedge = false;
-    hedge_after_us = infinity;
-    watchdog = false;
-    watchdog_factor = infinity;
-    watchdog_recover = infinity;
-    watchdog_min_batches = max_int;
-    brownout = false;
-    brownout_up_backlog = infinity;
-    brownout_down_backlog = 0.0;
-    brownout_up_hold_us = infinity;
-    brownout_down_hold_us = infinity;
-  }
+let default_resilience = { redispatch = true; hedge = true; watchdog = true; brownout = true }
+let no_resilience = { redispatch = false; hedge = false; watchdog = false; brownout = false }
+let max_redispatch = 2 (* per-request retry budget across crashes *)
+let hedge_after_us = 10_000.0 (* age before a Degraded-hosted batch is hedged *)
+let watchdog_factor = 2.5 (* rate above this multiple of the median degrades *)
+let watchdog_recover = 1.3 (* rate back under this multiple restores *)
+let watchdog_min_batches = 3 (* measurements before the watchdog may judge *)
+let brownout_up_backlog = 12.0 (* queued-per-replica that arms a step up *)
+let brownout_down_backlog = 4.0 (* queued-per-replica that arms a step down *)
+let brownout_up_hold_us = 15_000.0 (* sustained overload before stepping up *)
+let brownout_down_hold_us = 20_000.0 (* sustained calm before stepping down *)
 
 type disposition = Served | Fell_back | Shed | Expired | Rejected | Failed
-
-let disposition_to_string = function
-  | Served -> "served"
-  | Fell_back -> "fell_back"
-  | Shed -> "shed"
-  | Expired -> "expired"
-  | Rejected -> "rejected"
-  | Failed -> "failed"
 
 type class_report = {
   cr_class : Slo.cls;
@@ -318,10 +272,8 @@ type t = {
 let replicas t = t.pool_replicas
 let cache t = t.pool_cache
 let config t = t.cfg
-let shape_stats t = t.stats
-let current_bucket t = t.cur_bucket
 
-let create ?options ?session_policy ?fault_config ?cache cfg build =
+let create ?cache cfg build =
   if cfg.devices = [] then invalid_arg "Pool.create: empty device list";
   let shared = match cache with Some c -> c | None -> Disc.Compile_cache.create () in
   let surface = build () in
@@ -332,15 +284,7 @@ let create ?options ?session_policy ?fault_config ?cache cfg build =
          surface.Models.Common.name cfg.batch_dim);
   let mint ~id =
     let device = List.nth cfg.devices (id mod List.length cfg.devices) in
-    let fault_config =
-      Option.map (fun fc -> { fc with Gpusim.Fault.seed = fc.Gpusim.Fault.seed + (31 * id) })
-        fault_config
-    in
-    let session =
-      Session.create ?options ?policy:session_policy ?fault_config ~device ~cache:shared
-        (build ())
-    in
-    Replica.create ~id session
+    Replica.create ~id (Session.create ~device ~cache:shared (build ()))
   in
   {
     cfg;
@@ -615,7 +559,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
   (* adaptive-control state (inert on non-adaptive runs) *)
   let scaler = Option.bind adaptive (fun a -> Option.map Autoscaler.create a.autoscale) in
   let next_tick =
-    ref (match adaptive with Some a -> a.control_interval_us | None -> infinity)
+    ref (match adaptive with Some _ -> control_interval_us | None -> infinity)
   in
   let ticks = ref 0 and rebuckets = ref 0 and minted = ref 0 and hints_total = ref 0 in
   let last_hints = ref [] in
@@ -732,32 +676,11 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
   let saved_bucket = ref None in
   let eff_max_batch () = if !bro_level >= 3 then max 1 (cfg.max_batch / 2) else cfg.max_batch in
   let eff_pad_cap () =
-    if !bro_level >= 2 then cfg.max_pad_waste /. 2.0 else cfg.max_pad_waste
+    if !bro_level >= 2 then max_pad_waste /. 2.0 else max_pad_waste
   in
-
-  (* admission-time validation, equivalent to
-     [Workloads.Queueing.validate_request] (missing / unknown /
-     duplicate / non-positive dims all reject) but without building the
-     per-request name and filter lists that check allocates *)
-  let expected_arr = Array.of_list t.expected in
-  let n_expected = Array.length expected_arr in
-  let rec name_expected name k =
-    k < n_expected && (String.equal expected_arr.(k) name || name_expected name (k + 1))
-  in
-  let rec dup_name name = function
-    | [] -> false
-    | (n2, _) :: rest -> String.equal n2 name || dup_name name rest
-  in
-  let rec dims_ok = function
-    | [] -> true
-    | (name, v) :: rest ->
-        v >= 1 && name_expected name 0 && (not (dup_name name rest)) && dims_ok rest
-  in
-  let rec dims_len acc = function [] -> acc | _ :: rest -> dims_len (acc + 1) rest in
-  let valid_request (r : request) = dims_len 0 r.dims = n_expected && dims_ok r.dims in
 
   let admit (i : int) (r : request) =
-    if not (valid_request r) then begin
+    if not (Q.valid_dims ~expected:t.expected r.dims) then begin
       dispc.(i) <- d_rejected;
       if obs then Obs.Metrics.inc c_rejected
     end
@@ -839,7 +762,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
   let launchable time b =
     Iq.length b.bq_q > 0
     && (Iq.length b.bq_q >= eff_max_batch ()
-        || arr.(Iq.peek b.bq_q).arrival_us +. cfg.max_wait_us <= time
+        || arr.(Iq.peek b.bq_q).arrival_us +. max_wait_us <= time
         || !cursor >= n)
   in
   (* bucket selection: class priority of the oldest request, then
@@ -1011,15 +934,14 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
     | _ -> Some (List.nth rates (List.length rates / 2))
   in
   let watchdog_check rep =
-    if resilience.watchdog && rep.Replica.batches >= resilience.watchdog_min_batches
-    then
+    if resilience.watchdog && rep.Replica.batches >= watchdog_min_batches then
       match watchdog_reference () with
       | None -> ()
       | Some median ->
           let r = rep.Replica.us_per_element in
           if
             rep.Replica.health = Replica.Healthy
-            && r > resilience.watchdog_factor *. median
+            && r > watchdog_factor *. median
           then begin
             Replica.degrade rep;
             incr xr_degraded;
@@ -1035,7 +957,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
           end
           else if
             rep.Replica.health = Replica.Degraded
-            && r <= resilience.watchdog_recover *. median
+            && r <= watchdog_recover *. median
           then Replica.restore rep
   in
   let finalize (fl : inflight) =
@@ -1138,7 +1060,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
           t.pool_replicas
       in
       let waste = Bucket.waste ~actual:e_actual ~padded:e_padded in
-      if waste > cfg.max_pad_waste then false
+      if waste > max_pad_waste then false
       else if waste > eff_pad_cap () && warm_somewhere (Bucket.env_key exact) then
         (* brownout L2+: shed padding beyond the tightened cap, but only
            onto an exact signature that is already warm somewhere —
@@ -1343,7 +1265,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
                 (fun (i, r) ->
                   if dispc.(i) = d_pending then begin
                     let tries = Option.value (Hashtbl.find_opt retry i) ~default:0 in
-                    if resilience.redispatch && tries < resilience.max_redispatch then begin
+                    if resilience.redispatch && tries < max_redispatch then begin
                       Hashtbl.replace retry i (tries + 1);
                       Slo.requeue slo r.cls;
                       enqueue i r;
@@ -1461,7 +1383,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
           && fl.if_hedge < 0
           && fl.if_done > time
           && fl.if_rep.Replica.health = Replica.Degraded
-          && time -. fl.if_started >= resilience.hedge_after_us -. 1e-9
+          && time -. fl.if_started >= hedge_after_us -. 1e-9
           && List.exists
                (fun (i, r) -> dispc.(i) = d_pending && r.cls = Slo.Interactive)
                fl.if_members
@@ -1540,14 +1462,14 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
     end
   in
   let bro_hold d =
-    if d > 0 then resilience.brownout_up_hold_us else resilience.brownout_down_hold_us
+    if d > 0 then brownout_up_hold_us else brownout_down_hold_us
   in
   let eval_brownout time =
     if resilience.brownout then begin
       let s = bro_signal () in
       let want =
-        if s >= resilience.brownout_up_backlog && !bro_level < 4 then 1
-        else if s <= resilience.brownout_down_backlog && !bro_level > 0 then -1
+        if s >= brownout_up_backlog && !bro_level < 4 then 1
+        else if s <= brownout_down_backlog && !bro_level > 0 then -1
         else 0
       in
       match (want, !bro_pending) with
@@ -1562,14 +1484,13 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
       | d, _ -> bro_pending := Some (d, time)
     end
   in
-  let do_tick (a : adaptive) time =
+  let do_tick time =
     incr ticks;
-    Shape_stats.decay t.stats ~factor:a.decay;
+    Shape_stats.decay t.stats ~factor:decay;
     (* 1. re-derive the bucket policy from observed mass *)
-    if a.rebucket && Shape_stats.observations t.stats > 0 then begin
+    if Shape_stats.observations t.stats > 0 then begin
       let spec' =
-        Shape_stats.spec ~quantum:a.edge_quantum t.stats ~max_edges:a.max_edges
-          ~dims:cfg.bucket
+        Shape_stats.spec ~quantum:edge_quantum t.stats ~max_edges ~dims:cfg.bucket
       in
       if spec' <> t.cur_bucket then begin
         t.cur_bucket <- spec';
@@ -1579,7 +1500,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
       end
     end;
     (* 2. distribution-constraint ingestion: likely values -> sessions *)
-    let hs = Shape_stats.hints ~k:a.hint_k t.stats in
+    let hs = Shape_stats.hints ~k:hint_k t.stats in
     if hs <> [] then begin
       last_hints := hs;
       let nvals = List.fold_left (fun acc (_, vs) -> acc + List.length vs) 0 hs in
@@ -1593,7 +1514,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
     end;
     (* 3. mint speculative warmth: every alive replica pre-warms on the
        pool's hottest signatures (the artifacts are in the shared cache) *)
-    let hot_keys = pool_hot_keys a.hint_k in
+    let hot_keys = pool_hot_keys hint_k in
     Array.iter
       (fun r -> if Replica.alive r then minted := !minted + Replica.prewarm r hot_keys)
       t.pool_replicas;
@@ -1625,7 +1546,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
         | Autoscaler.Hold -> ()
         | Autoscaler.Scale_up ->
             let rep = t.mint ~id:(Array.length t.pool_replicas) in
-            rep.Replica.free_at <- time +. a.prewarm_us;
+            rep.Replica.free_at <- time +. prewarm_us;
             rep.Replica.hbm_budget <- cfg.hbm_budget;
             ignore (Replica.prewarm rep hot_keys);
             (* fleet-warm tuned artifacts: a fresh replica adopts any
@@ -1649,13 +1570,11 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
         "adaptive_tick"
   in
   let run_ticks () =
-    match adaptive with
-    | None -> ()
-    | Some a ->
-        while !now >= !next_tick -. 1e-9 do
-          do_tick a !next_tick;
-          next_tick := !next_tick +. a.control_interval_us
-        done
+    if adaptive <> None then
+      while !now >= !next_tick -. 1e-9 do
+        do_tick !next_tick;
+        next_tick := !next_tick +. control_interval_us
+      done
   in
 
   let next_event () =
@@ -1677,7 +1596,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
         for bi = 0 to !bcount - 1 do
           let b = (!bvec).(bi) in
           if Iq.length b.bq_q > 0 then begin
-            let w = arr.(Iq.peek b.bq_q).arrival_us +. cfg.max_wait_us in
+            let w = arr.(Iq.peek b.bq_q).arrival_us +. max_wait_us in
             if w < !acc then acc := w
           end
         done;
@@ -1706,8 +1625,8 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
                already due fired in try_hedge this instant and retries
                piggyback on the next real event — otherwise a hedge
                with no eligible peer pins the clock and livelocks *)
-            && fl.if_started +. resilience.hedge_after_us > !now
-          then acc := Float.min !acc (fl.if_started +. resilience.hedge_after_us)
+            && fl.if_started +. hedge_after_us > !now
+          then acc := Float.min !acc (fl.if_started +. hedge_after_us)
         done;
         !acc
       end

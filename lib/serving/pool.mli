@@ -6,10 +6,12 @@
     Request flow: {e admission} (malformed dims rejected; a class at its
     queue bound sheds) → {e bucket queues} ({!Bucket.key_of} of the
     request dims) → {e batching} (a bucket launches when full, when its
-    oldest request has waited [max_wait_us], or when the trace is
-    drained; expired requests are dropped at dispatch) → {e pad-vs-exact}
-    (measured cost model: the padded env repeats across batches and so
-    runs warm, the exact env wastes fewer elements but rarely repeats)
+    oldest request has waited 2 ms, or when the trace is drained;
+    expired requests are dropped at dispatch) → {e pad-vs-exact} (above
+    50 % padding a batch always runs at its exact shape; below, a
+    measured cost model decides: the padded env repeats across batches
+    and so runs warm, the exact env wastes fewer elements but rarely
+    repeats)
     → {e routing} ({!Router}) → {e service} ({!Disc.Session.serve_result},
     plus a one-off warmup the first time a replica sees a signature).
 
@@ -22,12 +24,9 @@ type config = {
   devices : Gpusim.Device.t list;  (** one replica per device *)
   batch_dim : string;
   max_batch : int;
-  max_wait_us : float;  (** max delay past a bucket's oldest request *)
   bucket : Bucket.spec;
   slo : Slo.policy;
   router : Router.policy;
-  max_pad_waste : float;
-      (** hard cap: above this padding fraction, dispatch exact-shape *)
   cold_warmup_us : float;
       (** one-off cost the first time a replica executes a signature *)
   hbm_budget : int option;
@@ -46,34 +45,24 @@ type config = {
 
 val default_config :
   devices:Gpusim.Device.t list -> batch_dim:string -> bucket:Bucket.spec -> config
-(** max_batch 8, max_wait 2 ms, default SLO policy, warmth-aware
-    routing, 50 % padding cap, 1.5 ms cold warmup, no memory budget
-    (gating on once a budget is set). *)
+(** max_batch 8, default SLO policy, warmth-aware routing, 1.5 ms cold
+    warmup, no memory budget (gating on once a budget is set). *)
 
+(** The adaptive control loop. Its fixed shape: a tick every 20 ms of
+    virtual time; the shape stats decay by 0.9 per tick; the bucket
+    policy is re-derived as {!Bucket.Edges} at 4 observed quantiles per
+    dim, snapped up to multiples of 4 so quantile wobble between ticks
+    does not mint fresh cold signatures (queued work is re-keyed in
+    arrival order when the policy changes); the 4 likeliest values per
+    dim flow into the sessions and the 4 hottest signatures are
+    pre-warmed across replicas; a scaled-up replica spins up for 5 ms,
+    pre-warming on the hot signatures, before it takes traffic. *)
 type adaptive = {
-  control_interval_us : float;  (** virtual time between control ticks *)
-  rebucket : bool;
-      (** re-derive the bucket policy as {!Bucket.Edges} at observed
-          traffic quantiles ({!Shape_stats.spec}); queued work is
-          re-keyed in arrival order when the policy changes *)
-  max_edges : int;  (** quantile-placed boundaries per dim *)
-  edge_quantum : int;
-      (** derived boundaries snap up to a multiple of this (capped at
-          the observed max): hysteresis so quantile wobble between ticks
-          does not mint fresh cold signatures *)
-  decay : float;  (** per-tick multiplicative decay of the shape stats *)
-  hint_k : int;
-      (** likely values per dim pushed into sessions, and hot
-          signatures pre-warmed across replicas, per tick *)
   autoscale : Autoscaler.config option;  (** [None]: fixed pool size *)
-  prewarm_us : float;
-      (** spin-up delay before a scaled-up replica takes traffic; it is
-          pre-warmed on the pool's hot signatures during this window *)
 }
 
 val default_adaptive : adaptive
-(** 20 ms ticks, rebucketing on with 4 edges snapped to multiples of 4,
-    0.9 decay, 4 hints/dim, no autoscaling, 5 ms replica spin-up. *)
+(** No autoscaling. *)
 
 (** What the pool does {e about} failure — as opposed to [~failures] /
     [~chaos], which inject it. The default for {!run} is
@@ -83,30 +72,22 @@ val default_adaptive : adaptive
 type resilience = {
   redispatch : bool;
       (** re-queue a crashed replica's in-flight requests (never lost,
-          never served twice) *)
-  max_redispatch : int;  (** per-request retry budget across crashes *)
+          never served twice), at most 2 times per request *)
   hedge : bool;
-      (** duplicate a slow Interactive batch stuck on a [Degraded]
+      (** duplicate an Interactive batch stuck for 10 ms on a [Degraded]
           replica; first result wins, the loser's work is wasted *)
-  hedge_after_us : float;  (** batch age before a hedge may launch *)
   watchdog : bool;
-      (** flag a replica [Degraded] when its EWMA service rate drifts
-          far above the pool's nominal rate; restore on convergence *)
-  watchdog_factor : float;
-  watchdog_recover : float;
-  watchdog_min_batches : int;
-  brownout : bool;  (** stepwise degradation ladder under overload *)
-  brownout_up_backlog : float;  (** queued-per-replica arming a step up *)
-  brownout_down_backlog : float;  (** queued-per-replica arming a step down *)
-  brownout_up_hold_us : float;  (** overload must hold this long to step *)
-  brownout_down_hold_us : float;  (** calm must hold this long to recover *)
+      (** after 3 batches, flag a replica [Degraded] when its EWMA
+          service rate exceeds 2.5× the alive replicas' median; restore
+          it once back at or under 1.3× *)
+  brownout : bool;
+      (** stepwise degradation ladder under overload: a step up arms at
+          12 queued requests per dispatchable replica and fires after
+          15 ms; a step down arms at 4 and fires after 20 ms *)
 }
 
 val default_resilience : resilience
-(** Everything on: redispatch budget 2; hedge Interactive batches after
-    10 ms on a Degraded host; watchdog at 2.5× / recover at 1.3× after
-    3 batches; brownout arms up at 12 queued/replica (15 ms hold), down
-    at 4 (20 ms hold). *)
+(** Everything on. *)
 
 val no_resilience : resilience
 (** Every mechanism off — the ablation baseline, and {!run}'s default. *)
@@ -131,8 +112,6 @@ type disposition =
   | Expired  (** dropped at dispatch: deadline already passed *)
   | Rejected  (** refused at admission: malformed dim set *)
   | Failed  (** the session returned a structured error, or the pool died *)
-
-val disposition_to_string : disposition -> string
 
 type class_report = {
   cr_class : Slo.cls;
@@ -258,18 +237,12 @@ val report_to_string : report -> string
 type t
 
 val create :
-  ?options:Disc.Compiler.options ->
-  ?session_policy:Disc.Session.policy ->
-  ?fault_config:Gpusim.Fault.config ->
-  ?cache:Disc.Compile_cache.t ->
-  config ->
-  (unit -> Models.Common.built) ->
-  t
-(** Builds one session per configured device, all sharing [cache]
+  ?cache:Disc.Compile_cache.t -> config -> (unit -> Models.Common.built) -> t
+(** Builds one session per configured device (default compiler options
+    and session policy, no fault injection), all sharing [cache]
     (default: a fresh private cache) — the first replica compiles, the
-    rest hit. [fault_config]'s seed is offset per replica so fault
-    streams are independent. [build] is called once per replica plus
-    once for the binding surface.
+    rest hit. [build] is called once per replica plus once for the
+    binding surface.
     @raise Invalid_argument on an empty device list or a [batch_dim]
     the model does not declare. *)
 
@@ -278,13 +251,6 @@ val replicas : t -> Replica.t array
 
 val cache : t -> Disc.Compile_cache.t
 val config : t -> config
-
-val shape_stats : t -> Shape_stats.t
-(** The online shape-distribution estimator (fed by adaptive runs). *)
-
-val current_bucket : t -> Bucket.spec
-(** The live bucket policy — [config.bucket] until an adaptive run
-    re-derives it from observed traffic. *)
 
 val run :
   ?failures:(float * int) list ->
@@ -317,8 +283,7 @@ val run :
     With everything off, chaos-free runs are bit-identical to the
     pre-resilience pool.
 
-    With [~adaptive], a control tick fires every [control_interval_us]
-    of virtual time: shape stats decay; the bucket policy is re-derived
+    With [~adaptive], a control tick fires every 20 ms of virtual time: shape stats decay; the bucket policy is re-derived
     from observed mass (queued work re-keyed, nothing dropped);
     likely-value hints flow into every alive session
     ({!Disc.Session.ingest_hints}); replicas pre-warm on the pool's

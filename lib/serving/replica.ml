@@ -79,10 +79,6 @@ let counts_capacity t =
 let is_free t ~now = dispatchable t && t.free_at <= now
 let is_warm t key = Hashtbl.mem t.warmth key
 
-let estimate_us t ~elements =
-  if t.us_per_element <= 0.0 then None
-  else Some (t.us_per_element *. float_of_int elements)
-
 let ewma_alpha = 0.3
 
 let note_batch t ~key ~elements ~service_us ?rate_us ~requests ~cold () =

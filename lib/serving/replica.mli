@@ -86,10 +86,6 @@ val is_free : t -> now:float -> bool
 val is_warm : t -> string -> bool
 (** Has this replica served the shape signature before? *)
 
-val estimate_us : t -> elements:int -> float option
-(** Predicted service time from the measured rate ([None] before the
-    first batch). *)
-
 val note_batch :
   t ->
   key:string ->

@@ -167,12 +167,3 @@ let spec ?quantum t ~max_edges ~(dims : Bucket.spec) : Bucket.spec =
       | [] -> (name, scheme) (* no traffic observed: keep the static scheme *)
       | es -> (name, Bucket.Edges es))
     dims
-
-let to_string t =
-  String.concat "; "
-    (List.map
-       (fun name ->
-         let s = Hashtbl.find t.dims name in
-         Printf.sprintf "%s: n=%d mass=%.1f min=%d max=%d p50=%d p99=%d" name s.raw s.total
-           s.vmin s.vmax (quantile t name 0.5) (quantile t name 0.99))
-       t.order)

@@ -63,5 +63,3 @@ val spec : ?quantum:int -> t -> max_edges:int -> dims:Bucket.spec -> Bucket.spec
     [Bucket.Edges (edges ...)]; dims without traffic keep their static
     scheme. Deterministic in the observation history, so unchanged
     traffic re-derives the identical spec. *)
-
-val to_string : t -> string

@@ -231,6 +231,73 @@ let test_tuned_digests_golden () =
       check_string (name ^ " tuned-plan digest") expected (Tune.Plan.digest plan))
     pinned_tuned_digests
 
+(* Full [Pool.run] reports under an E18-style chaos scenario (straggler,
+   spike, crash with recovery) on a short fixed dien trace: the four E18
+   resilience presets and the two E17 adaptive rows. The digest covers
+   every report field — dispositions, latencies, resilience, adaptive
+   and per-replica blocks — so any change to the pool's batching,
+   padding, control-tick, watchdog, hedge or brownout constants shows. *)
+let pool_report_digest ?adaptive resilience =
+  let module Pool = Serving.Pool in
+  let module Chaos = Serving.Chaos in
+  let module Slo = Serving.Slo in
+  let reqs =
+    Workloads.Queueing.generate_arrivals ~seed:29 ~qps:2400.0 ~n:400
+      ~dims:[ ("hist", Workloads.Trace.Skewed (5, 100)) ]
+    |> Pool.of_arrivals
+    |> Pool.with_class_mix ~seed:29
+         [ (Slo.Interactive, 0.25); (Slo.Standard, 0.5); (Slo.Best_effort, 0.25) ]
+  in
+  let scenario =
+    {
+      Chaos.seed = 7;
+      events =
+        [
+          { Chaos.at_us = 15_000.0;
+            event = Chaos.Straggle { replica = 1; factor = 100.0; duration_us = 100_000.0 } };
+          { Chaos.at_us = 50_000.0;
+            event = Chaos.Spike
+                { duration_us = 20_000.0; requests = 500; dim = "hist"; lo = 5; hi = 100;
+                  cls = Slo.Standard } };
+          { Chaos.at_us = 60_000.0;
+            event = Chaos.Crash { replica = 0; recover_after_us = Some 40_000.0; spinup_us = 5_000.0 } };
+        ];
+    }
+  in
+  let cfg =
+    Pool.default_config
+      ~devices:[ Gpusim.Device.a10; Gpusim.Device.a10; Gpusim.Device.a10 ]
+      ~batch_dim:"batch" ~bucket:[ ("hist", Serving.Bucket.Pow2) ]
+  in
+  let pool =
+    Pool.create ~cache:(Disc.Compile_cache.create ()) cfg (Models.Suite.find "dien").Models.Suite.build
+  in
+  let r = Pool.run ?adaptive ~chaos:scenario ~resilience pool reqs in
+  Digest.to_hex (Digest.string (Marshal.to_string r [ Marshal.No_sharing ]))
+
+let pinned_pool_reports =
+  let module Pool = Serving.Pool in
+  let autoscale =
+    { Serving.Autoscaler.default_config with
+      Serving.Autoscaler.min_replicas = 2; max_replicas = 4; scale_up_queue = 2 }
+  in
+  [
+    ("no-resilience", (None, Pool.no_resilience), "4f1c1bf592224e130ffae0e7bf7b1c42");
+    ("redispatch", (None, { Pool.no_resilience with Pool.redispatch = true }), "df0ffb2dea2519cfcf6f17183672ccd6");
+    ("no-brownout", (None, { Pool.default_resilience with Pool.brownout = false }), "44e0e590f4e868a210c48c888f28f17c");
+    ("resilient", (None, Pool.default_resilience), "e5a8a4f0c39c76983f7783e53a061967");
+    ("adaptive", (Some Pool.default_adaptive, Pool.no_resilience), "7985726165917e214f00578eb7e8e784");
+    ( "adaptive+scale",
+      (Some { Pool.autoscale = Some autoscale }, Pool.default_resilience),
+      "e0324fd9cf2908040c52208cdd497bf6" );
+  ]
+
+let test_pool_report_digests () =
+  List.iter
+    (fun (name, (adaptive, resilience), expected) ->
+      check_string (name ^ " report digest") expected (pool_report_digest ?adaptive resilience))
+    pinned_pool_reports
+
 let () =
   Alcotest.run "golden"
     [
@@ -252,4 +319,7 @@ let () =
           Alcotest.test_case "suite plan digests (A10)" `Quick
             test_tuned_digests_golden;
         ] );
+      ( "pool reports",
+        [ Alcotest.test_case "E18 presets + E17 adaptive rows under chaos" `Quick
+            test_pool_report_digests ] );
     ]

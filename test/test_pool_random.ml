@@ -174,8 +174,6 @@ let run_scenario ?cache:(c = shared_cache) (s : scenario) =
     else
       Some
         {
-          Pool.default_adaptive with
-          Pool.control_interval_us = 10_000.0;
           Pool.autoscale =
             (if s.autoscale then
                Some

@@ -496,12 +496,17 @@ let test_bucketed_batching_and_padding () =
     (Pool.padding_waste r > 0.0 && Pool.padding_waste r < 1.0)
 
 let test_pad_waste_cap_forces_exact () =
-  (* a 0% padding budget forces exact-shape dispatch *)
+  (* hist 20..27 rounds up to a 128-wide bucket: padding the batch would
+     waste ~82% of its elements, past the pool's 50% cap, so it
+     dispatches at its exact shape *)
   let cfg =
-    { (base_config ~devices:[ Device.a10 ] ()) with Pool.max_pad_waste = 0.0 }
+    {
+      (base_config ~devices:[ Device.a10 ] ()) with
+      Pool.bucket = [ ("hist", Bucket.Linear 128) ];
+    }
   in
   let pool = Pool.create cfg dien in
-  let reqs = List.init 8 (fun i -> req (float_of_int i) (120 + i)) in
+  let reqs = List.init 8 (fun i -> req (float_of_int i) (20 + i)) in
   let r = Pool.run pool reqs in
   check_int "no padded batches" 0 r.Pool.padded_batches;
   check_bool "exact batches" true (r.Pool.exact_batches >= 1);
@@ -791,9 +796,7 @@ let test_adaptive_rebucket_cuts_waste () =
     Pool.run ?adaptive pool (drift_trace 40)
   in
   let stat = run_with None in
-  let adap =
-    run_with (Some { Pool.default_adaptive with Pool.control_interval_us = 5_000.0 })
-  in
+  let adap = run_with (Some Pool.default_adaptive) in
   check_int "static: all completed" 40 (stat.Pool.served + stat.Pool.fell_back);
   check_int "adaptive: all completed" 40 (adap.Pool.served + adap.Pool.fell_back);
   check_int "adaptive: no losses" 0 adap.Pool.lost;
@@ -813,22 +816,20 @@ let test_adaptive_rebucket_cuts_waste () =
 
 let test_adaptive_scaling_no_loss () =
   let pool = Pool.create (base_config ~devices:[ Device.a10 ] ()) dien in
-  (* a burst deep enough to outlast the first control ticks, then a
-     sparse tail that keeps ticks firing while the backlog is empty *)
-  let burst = List.init 24 (fun _ -> req 0.0 20) in
-  let tail = List.init 12 (fun i -> req (60_000.0 +. (float_of_int i *. 15_000.0)) 20) in
+  (* 25 ms of arrivals at 100k qps keep a backlog past the first 20 ms
+     control tick; a sparse tail then keeps ticks firing while the
+     backlog is empty *)
+  let burst = List.init 2500 (fun i -> req (float_of_int i *. 10.0) 20) in
+  let tail = List.init 12 (fun i -> req (100_000.0 +. (float_of_int i *. 15_000.0)) 20) in
   let autoscale =
     { Scaler.default_config with
       Scaler.min_replicas = 1; max_replicas = 3; scale_up_queue = 2;
       cooldown_us = 2_000.0 }
   in
-  let adaptive =
-    { Pool.default_adaptive with
-      Pool.control_interval_us = 1_000.0; Pool.autoscale = Some autoscale }
-  in
+  let adaptive = { Pool.autoscale = Some autoscale } in
   let r = Pool.run ~adaptive pool (burst @ tail) in
   check_int "no losses across scale events" 0 r.Pool.lost;
-  check_int "every request accounted exactly once" 36
+  check_int "every request accounted exactly once" (2500 + 12)
     (r.Pool.served + r.Pool.fell_back + r.Pool.shed + r.Pool.expired + r.Pool.rejected
    + r.Pool.failed);
   let a = Option.get r.Pool.adaptive in
@@ -843,8 +844,7 @@ let test_adaptive_prewarm_spreads_warmth () =
   (* one hot signature, arrivals spaced so the warmth-aware router keeps
      replica 0 serving: replica 1 can only get warm through pre-warming *)
   let reqs = List.init 20 (fun i -> req (float_of_int i *. 4_000.0) 20) in
-  let adaptive = { Pool.default_adaptive with Pool.control_interval_us = 6_000.0 } in
-  let r = Pool.run ~adaptive pool reqs in
+  let r = Pool.run ~adaptive:Pool.default_adaptive pool reqs in
   check_int "all completed" 20 (r.Pool.served + r.Pool.fell_back);
   let a = Option.get r.Pool.adaptive in
   check_bool "hot signatures pre-warmed across replicas" true (a.Pool.ar_minted >= 1);
