@@ -1229,6 +1229,20 @@ let micro () =
               (Runtime.Executable.simulate exe
                  (Common.binding_for b [ ("batch", 4); ("seq", 73) ]))))
   in
+  let tune_test =
+    Test.make ~name:"tune_search_bert"
+      (Staged.stage
+         (let b = Models.Bert.build () in
+          ignore (Ir.Passes.run_all b.Common.graph);
+          let plan = Planner.plan b.Common.graph in
+          let exe = Runtime.Executable.compile b.Common.graph plan in
+          let rungs =
+            List.map
+              (fun env -> { Tune.Search.env; bnd = Common.binding_for b env })
+              (Models.Suite.find "bert").Models.Suite.bench_dims
+          in
+          fun () -> ignore (Tune.Search.plan ~device:Gpusim.Device.a10 ~rungs exe)))
+  in
   let products_test =
     Test.make ~name:"product_equality_query"
       (Staged.stage
@@ -1268,8 +1282,8 @@ let micro () =
   in
   let tests =
     [
-      build_test; passes_test; fusion_test; simulate_test; products_test; clone_test;
-      memplan_test; parse_test;
+      build_test; passes_test; fusion_test; simulate_test; tune_test; products_test;
+      clone_test; memplan_test; parse_test;
     ]
   in
   let benchmark test =

@@ -42,7 +42,9 @@ let parse_dims s =
          | [ k; v ] -> (
              let k = String.trim k in
              match int_of_string_opt (String.trim v) with
-             | Some n -> (k, n)
+             | Some n when n >= 0 -> (k, n)
+             | Some _ ->
+                 raise (Usage (Printf.sprintf "bad --dims value %S for %s (must be >= 0)" v k))
              | None ->
                  raise (Usage (Printf.sprintf "bad --dims value %S (want an integer)" v)))
          | _ -> raise (Usage (Printf.sprintf "bad --dims entry %S (want name=value)" kv)))

@@ -140,7 +140,13 @@ let build (g : Graph.t) (config : config) (c : Cluster.t) : t =
     reduce_ids = List.rev !reduce_ids;
   }
 
-(* --- runtime: launch-dimension + version selection ------------------------ *)
+(* --- runtime: per-binding facts, then schedule arithmetic ------------------
+
+   A kernel's cost splits into what the shape binding fixes and what the
+   schedule fixes. [facts] evaluates the first part once per binding;
+   launch dims and work for any version are then plain arithmetic over
+   it, so the tuner can rank every candidate schedule at a rung without
+   re-evaluating a single shape. *)
 
 let concrete_row (g : Graph.t) (bnd : Table.binding) (k : t) =
   match k.reduce_ids with
@@ -154,56 +160,31 @@ let concrete_row (g : Graph.t) (bnd : Table.binding) (k : t) =
           List.fold_left (fun acc d -> acc * Table.eval_dim_exn tab bnd input.shape.(d)) 1 dims
       | _ -> 1)
 
-(* Launch dims for an explicitly chosen version (no guard search): the
-   schedule fixes threads and per-thread tile, the shape fixes the rest.
-   The tuner scores candidate schedules through this, and the breaker's
-   despeculate path uses it to recompute *default* dims when pinning a
-   kernel to [generic_version] (a tuned version's block count must not
-   leak into the generic launch). *)
-let launch_with (g : Graph.t) (_d : Gpusim.Device.t) (bnd : Table.binding) (k : t)
-    (version : version) : launch =
-  let tab = Graph.symtab g in
-  let domain = Table.eval_shape tab bnd k.cluster.Cluster.domain in
-  let domain_numel = Tensor.Shape.numel domain in
-  let row = concrete_row g bnd k in
-  let threads = sched_threads version in
-  let tile = sched_tile version in
-  let blocks =
-    match k.cluster.Cluster.kind with
-    | Cluster.Input | Cluster.Stitch -> max 1 (domain_numel / max 1 row)
-    | _ -> max 1 ((domain_numel + (threads * tile) - 1) / (threads * tile))
-  in
-  { version; domain_numel; row; blocks; threads }
-
-let launch_for (g : Graph.t) (d : Gpusim.Device.t) (bnd : Table.binding) (k : t) : launch =
-  let tab = Graph.symtab g in
-  let domain = Table.eval_shape tab bnd k.cluster.Cluster.domain in
-  let domain_numel = Tensor.Shape.numel domain in
-  let row = concrete_row g bnd k in
-  let innermost =
-    if Array.length domain = 0 then 1 else domain.(Array.length domain - 1)
-  in
-  let version =
-    List.find
-      (fun v -> version_guard d v ~innermost ~row ~domain_numel)
-      k.versions
-    (* the generic version always guards true, so find cannot fail *)
-  in
-  launch_with g d bnd k version
-
-(* --- runtime: cost ---------------------------------------------------------- *)
-
 let bytes_of_value (g : Graph.t) (bnd : Table.binding) id =
   let i = Graph.inst g id in
   let shape = Table.eval_shape (Graph.symtab g) bnd i.shape in
   Tensor.Shape.numel shape * Tensor.Dtype.byte_size i.dtype
 
-(* Work descriptor of one fused-kernel execution: global traffic is only
-   the cluster's external inputs and outputs (that is the point of
-   fusion); arithmetic is summed over members. *)
-let work_of (g : Graph.t) (bnd : Table.binding) (k : t) (l : launch) : Gpusim.Cost.kernel_work
-    =
+type facts = {
+  numel : int; (* domain numel *)
+  innermost : int; (* innermost domain dim (1 for a scalar domain) *)
+  reduce_row : int; (* product of reduced dims (1 if no reduce) *)
+  bytes_read : int;
+  bytes_written : int;
+  flops_tree : float; (* member flops with shuffle-tree reduction *)
+  flops_serial : float; (* member flops with serial reduction *)
+  fp16 : bool;
+}
+
+(* Global traffic is only the cluster's external inputs and outputs
+   (that is the point of fusion); arithmetic is summed over members,
+   once per reduction style, each sum in member order. *)
+let facts (g : Graph.t) (bnd : Table.binding) (k : t) : facts =
   let tab = Graph.symtab g in
+  let domain = Table.eval_shape tab bnd k.cluster.Cluster.domain in
+  let numel = Tensor.Shape.numel domain in
+  let innermost = if Array.length domain = 0 then 1 else domain.(Array.length domain - 1) in
+  let reduce_row = concrete_row g bnd k in
   (* A gather kernel only touches the rows it looks up, not the whole
      table; charge the table operand as the gathered output size. *)
   let input_bytes id =
@@ -227,29 +208,60 @@ let work_of (g : Graph.t) (bnd : Table.binding) (k : t) (l : launch) : Gpusim.Co
   let bytes_written =
     List.fold_left (fun acc id -> acc + bytes_of_value g bnd id) 0 k.cluster.Cluster.outputs
   in
-  let flops =
-    List.fold_left
-      (fun acc m ->
-        let i = Graph.inst g m in
-        let per_elem = Op.flops_per_element i.op in
-        if per_elem = 0.0 then acc
-        else
-          let numel =
-            match i.op with
-            | Op.Reduce _ ->
-                (* a reduce touches every input element once *)
-                let input = Graph.inst g i.args.(0) in
-                Tensor.Shape.numel (Table.eval_shape tab bnd input.shape)
-            | _ -> Tensor.Shape.numel (Table.eval_shape tab bnd i.shape)
-          in
-          let mult =
-            match i.op with
-            | Op.Reduce _ when not l.version.tree_reduce -> 1.35 *. per_elem
-            | _ -> per_elem
-          in
-          acc +. (mult *. float_of_int numel))
-      0.0 k.cluster.Cluster.members
+  let flops_tree = ref 0.0 and flops_serial = ref 0.0 in
+  List.iter
+    (fun m ->
+      let i = Graph.inst g m in
+      let per_elem = Op.flops_per_element i.op in
+      if per_elem <> 0.0 then begin
+        (* a reduce touches every input element once; done serially it
+           costs 1.35x the shuffle tree *)
+        let shape, serial =
+          match i.op with
+          | Op.Reduce _ -> ((Graph.inst g i.args.(0)).shape, 1.35)
+          | _ -> (i.shape, 1.0)
+        in
+        let n = float_of_int (Tensor.Shape.numel (Table.eval_shape tab bnd shape)) in
+        flops_tree := !flops_tree +. (per_elem *. n);
+        flops_serial := !flops_serial +. (serial *. per_elem *. n)
+      end)
+    k.cluster.Cluster.members;
+  {
+    numel;
+    innermost;
+    reduce_row;
+    bytes_read;
+    bytes_written;
+    flops_tree = !flops_tree;
+    flops_serial = !flops_serial;
+    fp16 =
+      (match k.cluster.Cluster.members with
+      | m :: _ -> (Graph.inst g m).dtype = Tensor.Dtype.F16
+      | [] -> false);
+  }
+
+(* First version in [versions] whose guard holds: what the runtime
+   serves. Raises [Not_found] when none does (never for a list ending in
+   the generic version). *)
+let select (d : Gpusim.Device.t) (f : facts) versions =
+  List.find
+    (fun v -> version_guard d v ~innermost:f.innermost ~row:f.reduce_row ~domain_numel:f.numel)
+    versions
+
+(* Launch dims for a chosen version: the schedule fixes threads and
+   per-thread tile, the shape fixes the rest. *)
+let launch_of_facts (k : t) (f : facts) (version : version) : launch =
+  let threads = sched_threads version in
+  let tile = sched_tile version in
+  let blocks =
+    match k.cluster.Cluster.kind with
+    | Cluster.Input | Cluster.Stitch -> max 1 (f.numel / max 1 f.reduce_row)
+    | _ -> max 1 ((f.numel + (threads * tile) - 1) / (threads * tile))
   in
+  { version; domain_numel = f.numel; row = f.reduce_row; blocks; threads }
+
+(* Work descriptor of one fused-kernel execution under launch [l]. *)
+let work_of_facts (k : t) (f : facts) (l : launch) : Gpusim.Cost.kernel_work =
   let mem_efficiency =
     let base = if l.version.vectorized then 0.92 else 0.68 in
     let base = if k.has_transpose then base *. 0.8 else base in
@@ -258,18 +270,21 @@ let work_of (g : Graph.t) (bnd : Table.binding) (k : t) (l : launch) : Gpusim.Co
     if k.cluster.Cluster.kind = Cluster.Stitch then Float.min 0.95 (base +. 0.02) else base
   in
   {
-    Gpusim.Cost.bytes_read;
-    bytes_written;
-    flops;
+    Gpusim.Cost.bytes_read = f.bytes_read;
+    bytes_written = f.bytes_written;
+    flops = (if l.version.tree_reduce then f.flops_tree else f.flops_serial);
     mem_efficiency;
     compute_efficiency = 0.55;
     blocks = l.blocks;
     threads_per_block = l.threads;
-    fp16_math =
-      (match k.cluster.Cluster.members with
-      | m :: _ -> (Graph.inst g m).dtype = Tensor.Dtype.F16
-      | [] -> false);
+    fp16_math = f.fp16;
   }
+
+let launch_for g d bnd k =
+  let f = facts g bnd k in
+  launch_of_facts k f (select d f k.versions)
+
+let work_of g bnd k l = work_of_facts k (facts g bnd k) l
 
 (* Library (dot / conv) kernels bypass fusion codegen. *)
 let library_work (g : Graph.t) (bnd : Table.binding) (c : Cluster.t) : Gpusim.Cost.kernel_work =

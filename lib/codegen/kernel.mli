@@ -2,15 +2,15 @@
 
     Each fusion cluster compiles into one {!t} carrying a set of
     speculative {!version}s ordered most-specialized-first, with the
-    always-valid generic version last. At runtime, concrete shapes
-    select the first version whose guard holds ({!launch_for}) and fix
-    the launch dimensions; a single compilation therefore serves
+    always-valid generic version last. At runtime, the binding's
+    {!facts} select the first version whose guard holds ({!select}) and
+    fix the launch dimensions; a single compilation therefore serves
     arbitrary shapes.
 
     Two runtime facets per kernel: {!eval} computes the numeric result
     (reference semantics — fusion never changes numerics), and
-    {!work_of} / {!library_work} produce the analytical cost descriptor
-    charged to the simulated device. *)
+    {!work_of_facts} / {!library_work} produce the analytical cost
+    descriptor charged to the simulated device. *)
 
 module Cluster = Fusion.Cluster
 
@@ -72,25 +72,41 @@ val version_guard :
 val build : Ir.Graph.t -> config -> Cluster.t -> t
 (** Compile-time half: derive the version set and kernel structure. *)
 
+(** Everything a kernel's cost depends on that the schedule does not,
+    evaluated once per shape binding. *)
+type facts = {
+  numel : int;  (** domain numel *)
+  innermost : int;  (** innermost domain dim (1 for a scalar domain) *)
+  reduce_row : int;  (** product of the reduced dims; 1 without a reduce *)
+  bytes_read : int;
+      (** boundary inputs; gather table operands by rows actually read *)
+  bytes_written : int;  (** boundary outputs *)
+  flops_tree : float;  (** member flops with shuffle-tree reduction *)
+  flops_serial : float;  (** member flops with serial reduction *)
+  fp16 : bool;
+}
+
+val facts : Ir.Graph.t -> Symshape.Table.binding -> t -> facts
+(** Evaluate the kernel's shapes at a binding. Global traffic counts only
+    the cluster's boundary (that is fusion's point). *)
+
+val select : Gpusim.Device.t -> facts -> version list -> version
+(** First version whose guard holds — what the runtime serves. Raises
+    [Not_found] if none does (never for a list ending in generic). *)
+
+val launch_of_facts : t -> facts -> version -> launch
+(** Launch dims for an explicitly chosen version: pure arithmetic. *)
+
+val work_of_facts : t -> facts -> launch -> Gpusim.Cost.kernel_work
+(** Cost descriptor of one fused-kernel execution: pure arithmetic. *)
+
 val launch_for : Ir.Graph.t -> Gpusim.Device.t -> Symshape.Table.binding -> t -> launch
-(** Runtime half: evaluate shapes, pick the best guarded version and the
-    launch dimensions. *)
-
-val launch_with :
-  Ir.Graph.t -> Gpusim.Device.t -> Symshape.Table.binding -> t -> version -> launch
-(** Launch dims for an explicitly chosen version (no guard search) — the
-    tuner's scoring hook, and how despeculation recomputes default dims. *)
-
-val concrete_row : Ir.Graph.t -> Symshape.Table.binding -> t -> int
-(** Product of the reduced dims at a binding (1 without a reduce). *)
-
-val bytes_of_value : Ir.Graph.t -> Symshape.Table.binding -> int -> int
+(** Evaluate shapes, pick the best guarded version and the launch
+    dimensions. *)
 
 val work_of :
   Ir.Graph.t -> Symshape.Table.binding -> t -> launch -> Gpusim.Cost.kernel_work
-(** Cost descriptor of one fused-kernel execution. Global traffic counts
-    only the cluster's boundary (that is fusion's point); gather table
-    operands are charged by rows actually read. *)
+(** {!facts} then {!work_of_facts}. *)
 
 val library_work : Ir.Graph.t -> Symshape.Table.binding -> Cluster.t -> Gpusim.Cost.kernel_work
 (** Cost of a dot / conv2d library kernel. *)

@@ -96,32 +96,31 @@ let fusable_consumer (i : Graph.inst) =
   | Op.Elementwise | Op.Shape_manipulating | Op.Reduction -> true
   | Op.Library | Op.Opaque -> false
 
-(* Successor clusters of cluster [c] (excluding itself). *)
-let successors st c =
-  let ms = (Hashtbl.find st.states c).members in
-  List.sort_uniq Stdlib.compare
-    (List.concat_map
-       (fun m ->
-         List.filter_map
-           (fun u ->
-             let cu = find st u in
-             if cu = c then None else Some cu)
-           st.users_of.(m))
-       ms)
-
 (* Would making [ca] and [cb] one cluster create a cycle? I.e. is there a
-   path from ca to cb through a third cluster in the cluster DAG? *)
+   path from ca to cb through a third cluster in the cluster DAG? The
+   walk follows the members' use lists directly; reachability is a
+   boolean, so the order the edges are visited in does not matter. *)
 let creates_cycle st ca cb =
   let visited = Hashtbl.create 32 in
-  let rec dfs c =
-    if c = cb then true
-    else if Hashtbl.mem visited c then false
-    else begin
-      Hashtbl.add visited c ();
-      List.exists (fun cu -> cu <> ca && dfs cu) (successors st c)
-    end
+  (* does some edge out of cluster [c] (other than into [skip]) lead to cb? *)
+  let rec exits c ~skip =
+    List.exists
+      (fun m ->
+        List.exists
+          (fun u ->
+            let cu = find st u in
+            cu <> c && cu <> skip && reaches cu)
+          st.users_of.(m))
+      (Hashtbl.find st.states c).members
+  and reaches c =
+    c = cb
+    || (not (Hashtbl.mem visited c))
+       && begin
+         Hashtbl.add visited c ();
+         exits c ~skip:ca
+       end
   in
-  List.exists (fun cu -> cu <> cb && dfs cu) (successors st ca)
+  exits ca ~skip:cb
 
 let do_merge st ~into:cb ca ~domain ~stitched =
   let sa = Hashtbl.find st.states ca and sb = Hashtbl.find st.states cb in
@@ -255,15 +254,18 @@ let initial_state (g : Graph.t) config =
         { domain; reduces; stitched = false; horizontal = false; members = [ i.id ] });
   st
 
+module Ready = Set.Make (struct
+  type t = int * int (* (min member, cid) *)
+
+  let compare = Stdlib.compare
+end)
+
 let finalize (st : t) : Cluster.plan =
   let g = st.g in
-  let members : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter (fun root s -> Hashtbl.replace members root s.members) st.states;
-  let cluster_of = Hashtbl.create 64 in
   let outputs_set = Graph.outputs g in
-  let mk_cluster root ms =
-    let ms = List.sort Stdlib.compare ms in
-    let in_cluster id = List.mem id ms in
+  let mk_cluster root (s : cstate) =
+    let ms = List.sort Stdlib.compare s.members in
+    let in_cluster id = find st id = root in
     let inputs =
       List.sort_uniq Stdlib.compare
         (List.concat_map
@@ -274,11 +276,9 @@ let finalize (st : t) : Cluster.plan =
     let outputs =
       List.filter
         (fun id ->
-          List.mem id outputs_set
-          || List.exists (fun u -> not (in_cluster u)) (Graph.users g id))
+          List.mem id outputs_set || List.exists (fun u -> not (in_cluster u)) st.users_of.(id))
         ms
     in
-    let s = Hashtbl.find st.states root in
     let kind =
       match ms with
       | [ single ] -> (
@@ -296,78 +296,67 @@ let finalize (st : t) : Cluster.plan =
   in
   let clusters =
     Hashtbl.fold
-      (fun root ms acc ->
+      (fun root s acc ->
         (* parameters & constants never launch kernels; skip pure ones *)
-        match ms with
+        match s.members with
         | [ single ] when
             (match (Graph.inst g single).op with
             | Op.Parameter _ | Op.Constant _ -> true
             | _ -> false) ->
             acc
-        | _ -> mk_cluster root ms :: acc)
-      members []
+        | _ -> mk_cluster root s :: acc)
+      st.states []
   in
+  let cluster_of = Hashtbl.create 64 in
+  List.iter
+    (fun c -> List.iter (fun m -> Hashtbl.replace cluster_of m c.Cluster.cid) c.Cluster.members)
+    clusters;
   (* True topological order over the cluster DAG (Kahn), tie-broken by
      smallest member id for determinism. Min-member order alone is not
      topological: a stitched cluster can absorb an early instruction yet
      depend on a later library kernel. *)
   let clusters =
-    let by_member = Hashtbl.create 64 in
-    List.iter
-      (fun c -> List.iter (fun m -> Hashtbl.replace by_member m c.Cluster.cid) c.Cluster.members)
-      clusters;
     let by_cid = Hashtbl.create 64 in
     List.iter (fun c -> Hashtbl.replace by_cid c.Cluster.cid c) clusters;
-    let preds c =
-      List.filter_map (fun input -> Hashtbl.find_opt by_member input) c.Cluster.inputs
-      |> List.sort_uniq Stdlib.compare
-    in
-    let indegree = Hashtbl.create 64 in
-    List.iter (fun c -> Hashtbl.replace indegree c.Cluster.cid (List.length (preds c))) clusters;
-    let succs = Hashtbl.create 64 in
+    let key cid = (List.hd (Hashtbl.find by_cid cid).Cluster.members, cid) in
+    let indegree = Hashtbl.create 64 and succs = Hashtbl.create 64 in
     List.iter
       (fun c ->
+        let preds =
+          List.filter_map (fun input -> Hashtbl.find_opt cluster_of input) c.Cluster.inputs
+          |> List.sort_uniq Stdlib.compare
+        in
+        Hashtbl.replace indegree c.Cluster.cid (List.length preds);
         List.iter
           (fun p ->
             Hashtbl.replace succs p
               (c.Cluster.cid :: Option.value (Hashtbl.find_opt succs p) ~default:[]))
-          (preds c))
+          preds)
       clusters;
-    let key cid = List.hd (Hashtbl.find by_cid cid).Cluster.members in
-    let sorted_insert cid l =
-      List.sort (fun a b -> Stdlib.compare (key a) (key b)) (cid :: l)
-    in
     let ready =
       ref
-        (List.sort
-           (fun a b -> Stdlib.compare (key a) (key b))
-           (List.filter_map
-              (fun c ->
-                if Hashtbl.find indegree c.Cluster.cid = 0 then Some c.Cluster.cid else None)
-              clusters))
+        (List.fold_left
+           (fun r c ->
+             if Hashtbl.find indegree c.Cluster.cid = 0 then Ready.add (key c.Cluster.cid) r
+             else r)
+           Ready.empty clusters)
     in
     let out = ref [] in
-    let continue_ = ref true in
-    while !continue_ do
-      match !ready with
-      | [] -> continue_ := false
-      | cid :: rest ->
-          ready := rest;
-          out := cid :: !out;
-          List.iter
-            (fun s ->
-              let d = Hashtbl.find indegree s - 1 in
-              Hashtbl.replace indegree s d;
-              if d = 0 then ready := sorted_insert s !ready)
-            (Option.value (Hashtbl.find_opt succs cid) ~default:[])
+    while not (Ready.is_empty !ready) do
+      let ((_, cid) as k) = Ready.min_elt !ready in
+      ready := Ready.remove k !ready;
+      out := cid :: !out;
+      List.iter
+        (fun s ->
+          let d = Hashtbl.find indegree s - 1 in
+          Hashtbl.replace indegree s d;
+          if d = 0 then ready := Ready.add (key s) !ready)
+        (Option.value (Hashtbl.find_opt succs cid) ~default:[])
     done;
     if List.length !out <> List.length clusters then
       failwith "fusion planner produced a cyclic cluster graph";
     List.rev_map (fun cid -> Hashtbl.find by_cid cid) !out
   in
-  List.iter
-    (fun c -> List.iter (fun m -> Hashtbl.replace cluster_of m c.Cluster.cid) c.Cluster.members)
-    clusters;
   { Cluster.clusters; cluster_of }
 
 let plan ?(config = default_config) (g : Graph.t) : Cluster.plan =

@@ -69,7 +69,10 @@ let gemm_work ~batch ~m ~n ~k ~elem_bytes =
      so no additional occupancy penalty applies (blocks kept high). *)
   let natural = batch * ((m + 127) / 128) * ((n + 127) / 128) in
   let tile_util =
-    let frac x = float_of_int x /. float_of_int (((x + 127) / 128) * 128) in
+    (* an empty dim fills no tile: utilisation 0, not 0/0 *)
+    let frac x =
+      if x <= 0 then 0.0 else float_of_int x /. float_of_int (((x + 127) / 128) * 128)
+    in
     frac m *. frac n
   in
   let flops = 2.0 *. float_of_int batch *. float_of_int m *. float_of_int n *. float_of_int k in

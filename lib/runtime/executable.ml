@@ -70,16 +70,21 @@ let check_capacity (device : Gpusim.Device.t) ~live =
     Error.fail
       (Error.Oom { live_bytes = live; capacity_bytes = device.Gpusim.Device.memory_bytes })
 
-let select_launch ?(despeculate = fun _ -> false) g device bnd kname (k : Kernel.t) =
-  let l =
-    try Kernel.launch_for g device bnd k
-    with Not_found ->
-      Error.fail
-        (Error.Guard_violation (Printf.sprintf "no version guard held for kernel %s" kname))
+(* Work and served version tag of one fused kernel: the shape facts are
+   evaluated once, then the first version whose guard holds is costed.
+   Pinning to generic ([despeculate]) also recomputes the launch dims: a
+   tuned version's block count reflects its own schedule, not the
+   default. *)
+let fused_work ?(despeculate = fun _ -> false) g device bnd kname (k : Kernel.t) =
+  let f = Kernel.facts g bnd k in
+  let version =
+    match Kernel.select device f k.Kernel.versions with
+    | v -> if despeculate kname then Kernel.generic_version else v
+    | exception Not_found ->
+        Error.fail
+          (Error.Guard_violation (Printf.sprintf "no version guard held for kernel %s" kname))
   in
-  (* pinning to generic must also recompute the launch dims: a tuned
-     version's block count reflects its own schedule, not the default *)
-  if despeculate kname then Kernel.launch_with g device bnd k Kernel.generic_version else l
+  (Kernel.work_of_facts k f (Kernel.launch_of_facts k f version), version.Kernel.tag)
 
 (* Per-kernel-launch observability: one trace span per launch (advancing
    the simulated timeline by device + host time, so an enclosing request
@@ -139,9 +144,7 @@ let simulate ?(device = Gpusim.Device.a10) ?(profile = Profile.create ())
       Profile.note_live_bytes profile !live;
       let work, version_tag =
         match item with
-        | Fused k ->
-            let launch = select_launch ?despeculate g device bnd kname k in
-            (Kernel.work_of g bnd k launch, launch.Kernel.version.Kernel.tag)
+        | Fused k -> fused_work ?despeculate g device bnd kname k
         | Lib c -> (Kernel.library_work g bnd c, "library")
       in
       let work = tune work in
@@ -218,9 +221,7 @@ let run ?(device = Gpusim.Device.a10) ?cost_binding ?(profile = Profile.create (
       (* charge simulated cost, possibly under a padded cost binding *)
       let work, version_tag =
         match item with
-        | Fused k ->
-            let launch = select_launch ?despeculate g device cost_bnd kname k in
-            (Kernel.work_of g cost_bnd k launch, launch.Kernel.version.Kernel.tag)
+        | Fused k -> fused_work ?despeculate g device cost_bnd kname k
         | Lib c -> (Kernel.library_work g cost_bnd c, "library")
       in
       let time_us = Gpusim.Cost.kernel_time_us device work in

@@ -20,7 +20,6 @@
    when distinct rungs share a domain size and disagree on winners). *)
 
 module Table = Symshape.Table
-module Graph = Ir.Graph
 module Kernel = Codegen.Kernel
 module Cluster = Fusion.Cluster
 module Cost = Gpusim.Cost
@@ -32,23 +31,13 @@ let rung_signature (env : (string * int) list) =
   String.concat ","
     (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (List.sort compare env))
 
-(* Concrete shape facts of a kernel at a rung. *)
-let facts g bnd (k : Kernel.t) =
-  let tab = Graph.symtab g in
-  let domain = Table.eval_shape tab bnd k.Kernel.cluster.Cluster.domain in
-  let domain_numel = Tensor.Shape.numel domain in
-  let innermost = if Array.length domain = 0 then 1 else domain.(Array.length domain - 1) in
-  let row = Kernel.concrete_row g bnd k in
-  (domain_numel, innermost, row)
-
-let cost_of g device bnd (k : Kernel.t) (l : Kernel.launch) =
-  Cost.kernel_time_us device (Kernel.work_of g bnd k l)
+(* Cost of serving [v] under a rung's shape facts. *)
+let cost_of device (k : Kernel.t) (f : Kernel.facts) v =
+  Cost.kernel_time_us device (Kernel.work_of_facts k f (Kernel.launch_of_facts k f v))
 
 (* Serve cost under a given version list: first-guard-match selection,
    exactly what the runtime does. *)
-let served_cost g device bnd (k : Kernel.t) versions =
-  let k' = { k with Kernel.versions } in
-  cost_of g device bnd k' (Kernel.launch_for g device bnd k')
+let served_cost device k f versions = cost_of device k f (Kernel.select device f versions)
 
 (* Deterministic winner: cheapest, then the fixed point order. *)
 let better (c1, p1) (c2, p2) =
@@ -61,27 +50,35 @@ let better (c1, p1) (c2, p2) =
 
 let tune_kernel g device (rungs : rung list) (k : Kernel.t) : Kernel.version list =
   let kind = k.Kernel.cluster.Cluster.kind in
-  let candidates = Space.enumerate device ~has_reduce:k.Kernel.has_reduce ~kind in
+  (* versions are minted once per kernel and shapes evaluated once per
+     rung, so scoring a candidate at a rung is pure arithmetic *)
+  let candidates =
+    List.map
+      (fun p -> (p, Space.version_of ~kind p))
+      (Space.enumerate device ~has_reduce:k.Kernel.has_reduce ~kind)
+  in
+  let rung_facts = List.map (fun r -> Kernel.facts g r.bnd k) rungs in
   (* per-rung winner over candidates whose guards hold there *)
   let winners =
     List.filter_map
-      (fun r ->
-        let domain_numel, innermost, row = facts g r.bnd k in
+      (fun (f : Kernel.facts) ->
         let best =
           List.fold_left
-            (fun best p ->
-              let v = Space.version_of ~kind p in
-              if not (Kernel.version_guard device v ~innermost ~row ~domain_numel) then
-                best
+            (fun best (p, v) ->
+              if
+                not
+                  (Kernel.version_guard device v ~innermost:f.Kernel.innermost
+                     ~row:f.Kernel.reduce_row ~domain_numel:f.Kernel.numel)
+              then best
               else
-                let c = cost_of g device r.bnd k (Kernel.launch_with g device r.bnd k v) in
+                let c = cost_of device k f v in
                 match best with
                 | Some b when not (better (c, p) b) -> best
                 | _ -> Some (c, p))
             None candidates
         in
-        Option.map (fun (_, p) -> (domain_numel, p)) best)
-      rungs
+        Option.map (fun (_, p) -> (f.Kernel.numel, p)) best)
+      rung_facts
   in
   (* ascending by domain, group adjacent equal winners into windows *)
   let winners = List.sort compare winners in
@@ -108,10 +105,9 @@ let tune_kernel g device (rungs : rung list) (k : Kernel.t) : Kernel.version lis
     (* serving-faithful verification: the tuned list must never serve a
        rung worse than the untuned kernel would have *)
     List.for_all
-      (fun r ->
-        served_cost g device r.bnd k tuned
-        <= served_cost g device r.bnd k k.Kernel.versions +. 1e-9)
-      rungs
+      (fun f ->
+        served_cost device k f tuned <= served_cost device k f k.Kernel.versions +. 1e-9)
+      rung_facts
   then tuned
   else k.Kernel.versions
 

@@ -148,6 +148,19 @@ let test_library_gemm_work () =
   Alcotest.(check (float 1.0)) "gemm flops" (2.0 *. 64.0 *. 512.0 *. 256.0) w.Cost.flops;
   check_int "gemm reads A and B" ((64 * 256 * 4) + (256 * 512 * 4)) w.Cost.bytes_read
 
+let test_tree_reduce_flops () =
+  (* a serial reduce is charged 1.35x the flops of a shuffle tree; the
+     two sums come from the same shape facts *)
+  let g, b, s, k = softmax_kernel () in
+  let f = Kernel.facts g (bind g [ (b, 4); (s, 128) ]) k in
+  let work v = Kernel.work_of_facts k f (Kernel.launch_of_facts k f v) in
+  let tree = Kernel.select Device.a10 f k.Kernel.versions in
+  check_bool "tree version served" true tree.Kernel.tree_reduce;
+  Alcotest.(check (float 0.0)) "tree charges flops_tree" f.Kernel.flops_tree (work tree).Cost.flops;
+  Alcotest.(check (float 0.0)) "generic charges flops_serial" f.Kernel.flops_serial
+    (work Kernel.generic_version).Cost.flops;
+  check_bool "serial reduce costs more flops" true (f.Kernel.flops_serial > f.Kernel.flops_tree)
+
 let test_speculation_lowers_time () =
   let g, b, s, k = pointwise_kernel () in
   (* big memory-bound shape so bandwidth efficiency dominates *)
@@ -243,6 +256,7 @@ let () =
           Alcotest.test_case "boundary traffic" `Quick test_fused_traffic_is_boundary_only;
           Alcotest.test_case "gather rows" `Quick test_gather_charges_rows_not_table;
           Alcotest.test_case "library gemm" `Quick test_library_gemm_work;
+          Alcotest.test_case "tree reduce flops" `Quick test_tree_reduce_flops;
           Alcotest.test_case "speculation lowers time" `Quick test_speculation_lowers_time;
           Alcotest.test_case "eval matches interp" `Quick test_eval_matches_interp;
         ] );

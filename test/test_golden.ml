@@ -231,6 +231,99 @@ let test_tuned_digests_golden () =
       check_string (name ^ " tuned-plan digest") expected (Tune.Plan.digest plan))
     pinned_tuned_digests
 
+(* Paper-scale pins: for every suite model at its real size, the MD5 of
+   the fusion plan text ([Fusion.Cluster.to_string] after the default
+   pass pipeline), the A10 tuned-plan digest at the model's E1
+   [bench_dims] rungs, and the MD5 of the tuned executable's simulated
+   A10 profiles at those rungs (summary plus one line per launch:
+   version, time, bytes, flops) — the exact compile and cost path the
+   compile-suite benchmark times. Planner, tuner and cost-path speedups
+   must leave all three byte-identical. *)
+let pinned_paper_scale =
+  [
+    ( "bert",
+      "2fd7dd815a71ce26756c472fc81dbc71",
+      "5465e9cc3b07336848d45033ee253c53",
+      "8c593e2bd1a56a288455de9ff8806e92" );
+    ( "gpt2",
+      "9d40e2fbfeb788f59632bcb3818f7957",
+      "12d0c4ca092ad7d1c4c7f41a05b0af1b",
+      "fcfed002535f7d8722f0f5b0370a8813" );
+    ( "gpt2-decode",
+      "93d8ed798a6ce44f5a8df07391797f47",
+      "5a9f351ea556c9ba452554eff7aa0fbb",
+      "57e506663e01c9a118e551cb2dc8fb82" );
+    ( "seq2seq",
+      "9604448d10d01060388bcafc53914e9b",
+      "ca532db464196977c8a13e8400bb736e",
+      "f24cca431e0b525386fd6a077fa914b6" );
+    ( "t5",
+      "d37e75885056e847dd28c16335580045",
+      "4cf2126d50e8f8e2573e077a7897527d",
+      "a898a9ee4c6e2f50ab9e533a37f6a0fa" );
+    ( "crnn",
+      "b9e85e8f7bfc77970c9be3f3bc66eb68",
+      "e1c2ea6f5e0dd19d1e984ad03882e47c",
+      "67fa43c08d83df591600d45aa08e4db5" );
+    ( "fastspeech",
+      "320a079537cc62cfe74febcea0a8b18b",
+      "746581f53b19369dab43b4612157e9e8",
+      "d02d8faf027420b1b41be483e5eb4f89" );
+    ( "asr",
+      "7e02f4ae1c3de3ad8869ebc5289539c1",
+      "5ae9792fdc19364a58379c64f11fef52",
+      "d0e74fbc9eda5342418d484c255e0aac" );
+    ( "vit",
+      "95f843496af2492661a2724fdce6e54c",
+      "f030b42a126d12650e9181b329f7f7af",
+      "2539d8ae891595f4de19004b5dbd4138" );
+    ( "dien",
+      "1d3802ac1cfb7f5985269e8ccdf11fa7",
+      "fe45b1d4439c5f15855c53c7eafa4414",
+      "8525283f77968115fdc5bc04e7c49fef" );
+  ]
+
+let simulated_digest exe plan built envs =
+  let tuned = Tune.Plan.apply plan exe in
+  let lines =
+    List.concat_map
+      (fun env ->
+        let p =
+          Runtime.Executable.simulate ~device:Gpusim.Device.a10 tuned
+            (Models.Common.binding_for built env)
+        in
+        Runtime.Profile.to_string p
+        :: List.rev_map
+             (fun (r : Runtime.Profile.kernel_record) ->
+               Printf.sprintf "%s %s %.4f %d %.6g" r.kname r.version_tag r.time_us r.bytes
+                 r.flops)
+             p.Runtime.Profile.records)
+      envs
+  in
+  Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+let test_paper_scale_golden () =
+  Alcotest.(check int) "every suite model pinned"
+    (List.length Models.Suite.all) (List.length pinned_paper_scale);
+  List.iter
+    (fun (name, plan_md5, tuned_digest, simulated_md5) ->
+      let entry = Models.Suite.find name in
+      let built = entry.Models.Suite.build () in
+      let exe = (Disc.Compiler.compile built.Models.Common.graph).Disc.Compiler.exe in
+      check_string (name ^ " paper-scale plan digest") plan_md5
+        (Digest.to_hex (Digest.string (Fusion.Cluster.to_string exe.Runtime.Executable.plan)));
+      let rungs =
+        List.map
+          (fun env -> { Tune.Search.env; bnd = Models.Common.binding_for built env })
+          entry.Models.Suite.bench_dims
+      in
+      let plan = Tune.Search.plan ~device:Gpusim.Device.a10 ~rungs exe in
+      check_string (name ^ " paper-scale A10 tuned-plan digest") tuned_digest
+        (Tune.Plan.digest plan);
+      check_string (name ^ " paper-scale A10 simulated profiles") simulated_md5
+        (simulated_digest exe plan built entry.Models.Suite.bench_dims))
+    pinned_paper_scale
+
 (* Full [Pool.run] reports under an E18-style chaos scenario (straggler,
    spike, crash with recovery) on a short fixed dien trace: the four E18
    resilience presets and the two E17 adaptive rows. The digest covers
@@ -318,6 +411,8 @@ let () =
           Alcotest.test_case "single-kernel plan text" `Quick test_tuned_plan_golden;
           Alcotest.test_case "suite plan digests (A10)" `Quick
             test_tuned_digests_golden;
+          Alcotest.test_case "paper-scale plan, tuned, simulated digests" `Quick
+            test_paper_scale_golden;
         ] );
       ( "pool reports",
         [ Alcotest.test_case "E18 presets + E17 adaptive rows under chaos" `Quick

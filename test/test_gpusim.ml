@@ -82,6 +82,23 @@ let test_gemm_fp16_flag () =
   let w4 = Cost.gemm_work ~batch:1 ~m:64 ~n:64 ~k:64 ~elem_bytes:4 in
   check_bool "elem_bytes=4 -> fp32 math" false w4.Cost.fp16_math
 
+let test_gemm_empty_dim () =
+  (* a zero-sized dim fills no tile: finite efficiency and cost, no 0/0 *)
+  List.iter
+    (fun (m, n) ->
+      let w = Cost.gemm_work ~batch:1 ~m ~n ~k:64 ~elem_bytes:4 in
+      check_bool "finite efficiency" true (Float.is_finite w.Cost.compute_efficiency);
+      check_bool "finite time" true (Float.is_finite (Cost.kernel_time_us Device.a10 w)))
+    [ (0, 64); (64, 0); (0, 0) ];
+  (* end to end: paper-scale BERT at batch=0 simulates to a finite total *)
+  let built = (Models.Suite.find "bert").Models.Suite.build () in
+  let c = Disc.Compiler.compile built.Models.Common.graph in
+  let p =
+    Disc.Compiler.simulate c
+      [ (Models.Common.dim_exn built "batch", 0); (Models.Common.dim_exn built "seq", 64) ]
+  in
+  check_bool "finite total at batch=0" true (Float.is_finite (Runtime.Profile.total_us p))
+
 let prop_kernel_time_positive =
   QCheck.Test.make ~name:"kernel time always positive and finite" ~count:200
     QCheck.(triple (int_range 0 100_000_000) (int_range 0 1_000_000_000) (int_range 1 1_000_000))
@@ -120,6 +137,7 @@ let () =
           Alcotest.test_case "small grid" `Quick test_small_grid_penalized;
           Alcotest.test_case "gemm padding" `Quick test_gemm_padding_costs;
           Alcotest.test_case "gemm fp16 flag" `Quick test_gemm_fp16_flag;
+          Alcotest.test_case "gemm empty dim" `Quick test_gemm_empty_dim;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_kernel_time_positive; prop_gemm_flops_exact ]

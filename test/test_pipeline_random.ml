@@ -243,6 +243,61 @@ let prop_plan_invariants =
       in
       partition_ok && schedule_ok && library_ok)
 
+(* The planner derives each cluster's boundary from its precomputed use
+   lists and union-find; recompute it by brute force from [Graph.users]
+   and member lists under every planner configuration, and check the
+   cluster order against the same brute-force membership. *)
+let prop_boundaries_match_brute_force =
+  QCheck.Test.make ~name:"structured graphs: cluster boundaries = brute force" ~count:40
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let p = program_of_seed seed in
+      List.for_all
+        (fun config ->
+          let g, _ = build_program p in
+          ignore (Ir.Passes.run_all g);
+          let plan = Planner.plan ~config g in
+          let owner = Hashtbl.create 64 in
+          List.iteri
+            (fun k c -> List.iter (fun m -> Hashtbl.replace owner m k) c.Cluster.members)
+            plan.Cluster.clusters;
+          List.for_all
+            (fun (k, c) ->
+              let mem id = List.mem id c.Cluster.members in
+              let inputs =
+                List.concat_map
+                  (fun m ->
+                    List.filter (fun a -> not (mem a)) (Array.to_list (Graph.inst g m).Graph.args))
+                  c.Cluster.members
+                |> List.sort_uniq compare
+              in
+              let outputs =
+                List.filter
+                  (fun m ->
+                    List.mem m (Graph.outputs g)
+                    || List.exists (fun u -> not (mem u)) (Graph.users g m))
+                  c.Cluster.members
+              in
+              inputs = c.Cluster.inputs
+              && outputs = c.Cluster.outputs
+              && List.for_all
+                   (fun m -> Hashtbl.find_opt plan.Cluster.cluster_of m = Some c.Cluster.cid)
+                   c.Cluster.members
+              && List.for_all
+                   (fun a ->
+                     match Hashtbl.find_opt owner a with None -> true | Some pk -> pk < k)
+                   inputs)
+            (List.mapi (fun k c -> (k, c)) plan.Cluster.clusters))
+        Planner.
+          [
+            default_config;
+            horizontal_config;
+            no_stitch_config;
+            no_product_config;
+            static_only_config;
+            { default_config with max_cluster_size = Some 3 };
+          ])
+
 let prop_fusion_never_increases_traffic =
   QCheck.Test.make ~name:"structured graphs: fusion never increases traffic or launches"
     ~count:40
@@ -332,6 +387,7 @@ let () =
           [
             prop_all_pipelines_match_interp;
             prop_plan_invariants;
+            prop_boundaries_match_brute_force;
             prop_fusion_never_increases_traffic;
             prop_roundtrip_structured;
           ] );
